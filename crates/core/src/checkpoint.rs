@@ -335,18 +335,7 @@ pub fn report_write(w: &mut CkptWriter, prefix: &str, report: &RaceReport) {
 /// [`CkptError`] on malformation or when the record counts disagree
 /// with the `report` header record.
 pub fn report_read(r: &mut CkptReader<'_>, prefix: &str) -> Result<RaceReport, CkptError> {
-    let head = r.next_rec().ok_or_else(|| {
-        CkptError::at(
-            0,
-            format!("checkpoint ends where a `{prefix}report` record was expected"),
-        )
-    })?;
-    if head.tag() != format!("{prefix}report") {
-        return Err(CkptError::at(
-            head.line,
-            format!("expected `{prefix}report`, found `{}`", head.tag()),
-        ));
-    }
+    let head = r.expect(&format!("{prefix}report"))?;
     let total: u64 = head.num(1)?;
     let capacity: usize = head.num(2)?;
     let nsamples: usize = head.num(3)?;
@@ -365,19 +354,7 @@ pub fn report_read(r: &mut CkptReader<'_>, prefix: &str) -> Result<RaceReport, C
     let sample_tag = format!("{prefix}rsample");
     let mut samples = Vec::with_capacity(nsamples);
     for _ in 0..nsamples {
-        let rec = r.next_rec().ok_or_else(|| {
-            CkptError::at(
-                0,
-                format!("checkpoint ends inside `{prefix}rsample` records"),
-            )
-        })?;
-        if rec.tag() != sample_tag {
-            return Err(CkptError::at(
-                rec.line,
-                format!("expected `{sample_tag}`, found `{}`", rec.tag()),
-            ));
-        }
-        let (sample, _) = record_parse(rec, 1)?;
+        let (sample, _) = record_parse(r.expect(&sample_tag)?, 1)?;
         samples.push(sample);
     }
     Ok(RaceReport::from_parts(total, sites, samples, capacity))
@@ -406,7 +383,7 @@ pub fn mode_parse(word: &str, line: usize) -> Result<ClockMode, CkptError> {
 
 /// Builds the fail-closed error for a configuration mismatch between a
 /// checkpoint and the detector it is being restored into.
-pub(crate) fn config_mismatch(
+pub fn config_mismatch(
     line: usize,
     what: &str,
     checkpoint: impl std::fmt::Debug,
@@ -424,11 +401,6 @@ pub(crate) fn config_mismatch(
 /// Writes the happens-before word of a provenance-free `vc` — thin
 /// re-export so detector impls only import this module.
 pub use crace_vclock::ckpt::{sync_read, sync_write};
-
-/// Writes one registered object header: `object <id> <spec-name>`.
-pub(crate) fn object_header(w: &mut CkptWriter, obj: ObjId, spec: &CompiledSpec) {
-    w.rec(&format!("object {} {}", obj.0, esc(spec.spec().name())));
-}
 
 /// Parses an `object` record into its id and resolved spec.
 ///
@@ -450,44 +422,6 @@ pub(crate) fn object_parse(
     })?;
     Ok((obj, spec))
 }
-
-/// Serializes a sorted list of abandoned threads as one record:
-/// `abandoned <n> [tids…]`.
-pub(crate) fn abandoned_write(w: &mut CkptWriter, abandoned: impl IntoIterator<Item = ThreadId>) {
-    let mut tids: Vec<u32> = abandoned.into_iter().map(|t| t.0).collect();
-    tids.sort_unstable();
-    let mut words = vec!["abandoned".to_string(), tids.len().to_string()];
-    words.extend(tids.iter().map(u32::to_string));
-    w.rec(&words.join(" "));
-}
-
-/// Parses an [`abandoned_write`] record (the reader must be positioned
-/// on it).
-///
-/// # Errors
-///
-/// [`CkptError`] when the record is missing or malformed.
-pub(crate) fn abandoned_read(r: &mut CkptReader<'_>) -> Result<Vec<ThreadId>, CkptError> {
-    let rec = r
-        .next_rec()
-        .ok_or_else(|| CkptError::at(0, "checkpoint ends where `abandoned` was expected"))?;
-    if rec.tag() != "abandoned" {
-        return Err(CkptError::at(
-            rec.line,
-            format!("expected `abandoned`, found `{}`", rec.tag()),
-        ));
-    }
-    let n: usize = rec.num(1)?;
-    let mut tids = Vec::with_capacity(n);
-    for i in 0..n {
-        tids.push(ThreadId(rec.num(2 + i)?));
-    }
-    Ok(tids)
-}
-
-/// Re-exported so callers need only this module: [`vc_word`] /
-/// [`vc_parse`] for raw clocks.
-pub use crace_vclock::ckpt::{vc_parse as clock_parse, vc_word as clock_word};
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,11 @@
 //! The offline/single-consumer commutativity race detector.
 
-use crate::engine::{ClockMode, ObjState};
+use crate::engine::ClockMode;
 use crate::points::CompiledSpec;
-use crace_model::{Action, Analysis, LockId, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId};
+use crate::shadow::{Shadow, ShadowCfg, ShedFilter, SpecCache};
+use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, SyncClocks};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The commutativity race detector of §5 over a single event stream —
@@ -25,39 +25,20 @@ use std::sync::Arc;
 /// See the crate-level example, which runs the Fig. 3 trace.
 pub struct TraceDetector {
     inner: Mutex<Inner>,
+    /// Threads abandoned via [`Analysis::abandon_thread`]: their clocks
+    /// are retired and any stray later event naming them is shed, so a
+    /// dead thread can never introduce spurious happens-before edges.
+    shed: ShedFilter,
+    compiled: SpecCache,
     /// When set, `on_action` records sampled spans into a tracer lane
-    /// (see [`TraceDetector::with_tracer`]); `None` costs one branch.
+    /// (see [`TraceDetector::traced`]); `None` costs one branch.
     tracer: Option<crace_obs::SampledSpans>,
 }
 
 struct Inner {
     sync: SyncClocks,
-    registry: HashMap<ObjId, Arc<CompiledSpec>>,
-    objects: HashMap<ObjId, ObjState>,
+    shadow: Shadow,
     report: RaceReport,
-    compiled: HashMap<String, Arc<CompiledSpec>>,
-    mode: ClockMode,
-    /// When set, objects collect race provenance with an event window of
-    /// this many actions (see [`ObjState::with_provenance`]).
-    provenance_window: Option<usize>,
-    /// Threads abandoned via [`Analysis::abandon_thread`]: their clocks
-    /// are retired and any stray later event naming them is shed, so a
-    /// dead thread can never introduce spurious happens-before edges.
-    abandoned: HashSet<ThreadId>,
-    /// Events shed because they named an abandoned thread.
-    shed: u64,
-}
-
-impl Inner {
-    /// True iff the event should be shed because it names a thread whose
-    /// clock has been finalized.
-    fn sheds(&mut self, tids: &[ThreadId]) -> bool {
-        if !self.abandoned.is_empty() && tids.iter().any(|t| self.abandoned.contains(t)) {
-            self.shed += 1;
-            return true;
-        }
-        false
-    }
 }
 
 impl TraceDetector {
@@ -72,18 +53,18 @@ impl TraceDetector {
     /// — the reference the differential tests compare the epoch fast path
     /// against.
     pub fn with_mode(mode: ClockMode) -> TraceDetector {
+        TraceDetector::build(ShadowCfg { mode, window: None })
+    }
+
+    fn build(cfg: ShadowCfg) -> TraceDetector {
         TraceDetector {
             inner: Mutex::new(Inner {
                 sync: SyncClocks::new(),
-                registry: HashMap::new(),
-                objects: HashMap::new(),
+                shadow: Shadow::new(cfg),
                 report: RaceReport::new(),
-                compiled: HashMap::new(),
-                mode,
-                provenance_window: None,
-                abandoned: HashSet::new(),
-                shed: 0,
             }),
+            shed: ShedFilter::new(),
+            compiled: SpecCache::default(),
             tracer: None,
         }
     }
@@ -94,9 +75,10 @@ impl TraceDetector {
     /// actions on the racing object. This is what `crace replay --explain`
     /// replays through.
     pub fn with_provenance(window: usize) -> TraceDetector {
-        let detector = TraceDetector::new();
-        detector.inner.lock().provenance_window = Some(window);
-        detector
+        TraceDetector::build(ShadowCfg {
+            mode: ClockMode::Adaptive,
+            window: Some(window),
+        })
     }
 
     /// Creates a detector that records one-in-`sample_every` `on_action`
@@ -104,22 +86,28 @@ impl TraceDetector {
     /// `rd2.on_action`), like [`crate::Rd2::with_tracer`].
     /// `sample_every == 0` disables the sampling.
     pub fn with_tracer(tracer: &crace_obs::Tracer, sample_every: u64) -> TraceDetector {
-        let mut detector = TraceDetector::new();
-        detector.tracer = Some(crace_obs::SampledSpans::new(
-            tracer,
-            "rd2",
-            "rd2.on_action",
-            sample_every,
-        ));
-        detector
+        TraceDetector::new().traced(tracer, sample_every)
+    }
+
+    /// This detector, additionally recording sampled `on_action` spans as
+    /// [`TraceDetector::with_tracer`] does; composes with any other
+    /// constructor (e.g. provenance and tracing together).
+    pub fn traced(self, tracer: &crace_obs::Tracer, sample_every: u64) -> TraceDetector {
+        TraceDetector {
+            tracer: Some(crace_obs::SampledSpans::new(
+                tracer,
+                "rd2",
+                "rd2.on_action",
+                sample_every,
+            )),
+            ..self
+        }
     }
 
     /// Registers `obj` to be checked against `spec`. Re-registering an
     /// object replaces its specification and clears its shadow state.
     pub fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        let mut inner = self.inner.lock();
-        inner.registry.insert(obj, spec);
-        inner.objects.remove(&obj);
+        self.inner.lock().shadow.register(obj, spec);
     }
 
     /// Registers `obj` against an (uncompiled) logical specification,
@@ -133,65 +121,73 @@ impl TraceDetector {
         obj: ObjId,
         spec: &crace_spec::Spec,
     ) -> Result<(), crate::TranslateError> {
-        let compiled = {
-            let mut inner = self.inner.lock();
-            match inner.compiled.get(spec.name()) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(crate::translate(spec)?);
-                    inner
-                        .compiled
-                        .insert(spec.name().to_string(), Arc::clone(&c));
-                    c
-                }
-            }
-        };
-        self.register(obj, compiled);
+        self.register(obj, self.compiled.get(spec)?);
         Ok(())
     }
 
     /// Drops all shadow state of `obj` (the object-reclamation optimization
     /// of §5.3: no new races can be reported on a dead object).
     pub fn forget(&self, obj: ObjId) {
-        let mut inner = self.inner.lock();
-        inner.registry.remove(&obj);
-        inner.objects.remove(&obj);
+        self.inner.lock().shadow.forget(obj);
     }
 
     /// Number of active access points currently tracked for `obj`.
     pub fn num_active(&self, obj: ObjId) -> usize {
         self.inner
             .lock()
+            .shadow
             .objects
             .get(&obj)
-            .map_or(0, ObjState::num_active)
+            .map_or(0, crate::ObjState::num_active)
     }
 
     /// Total phase-1 conflict probes across all tracked objects (one per
     /// conflicting class per touched point — the §5.4 work measure).
     pub fn num_probes(&self) -> u64 {
-        self.inner
-            .lock()
-            .objects
-            .values()
-            .map(ObjState::num_probes)
-            .sum()
+        self.inner.lock().shadow.probes()
     }
 
     /// Number of events shed because they named an abandoned thread.
     pub fn events_shed(&self) -> u64 {
-        self.inner.lock().shed
+        self.shed.events_shed()
     }
 
     /// Aggregated clock-representation statistics over all tracked
     /// objects: how many phase-2 updates stayed on the O(1) epoch path.
     pub fn clock_stats(&self) -> ClockStats {
-        let inner = self.inner.lock();
-        let mut stats = ClockStats::default();
-        for state in inner.objects.values() {
-            stats.merge(&state.clock_stats());
+        self.inner.lock().shadow.clock_stats()
+    }
+
+    /// Exports the detector's internals into `registry`: the
+    /// `rd2.conflict_probes` counter (advanced by delta, so safe to call
+    /// repeatedly) and the `rd2.clock.epoch_hit_rate` gauge. The serial
+    /// counterpart of [`crate::ParallelRd2::feed`].
+    pub fn feed(&self, registry: &crace_obs::Registry) {
+        let (probes, stats) = {
+            let inner = self.inner.lock();
+            (inner.shadow.probes(), inner.shadow.clock_stats())
+        };
+        registry.counter("rd2.conflict_probes").advance_to(probes);
+        registry
+            .gauge("rd2.clock.epoch_hit_rate")
+            .set(stats.epoch_hit_rate());
+    }
+
+    /// Always false: the serial detector has no workers to degrade. The
+    /// serial counterpart of [`crate::ParallelRd2::degraded`].
+    pub fn degraded(&self) -> bool {
+        false
+    }
+
+    /// Applies one synchronization event unless it names an abandoned
+    /// thread. The shed check runs under the lock, so an event racing
+    /// with [`Analysis::abandon_thread`] either lands before it or is
+    /// shed.
+    fn sync_event(&self, tids: &[ThreadId], apply: impl FnOnce(&mut SyncClocks)) {
+        let mut inner = self.inner.lock();
+        if !self.shed.sheds(tids) {
+            apply(&mut inner.sync);
         }
-        stats
     }
 }
 
@@ -207,39 +203,23 @@ impl Analysis for TraceDetector {
     }
 
     fn on_fork(&self, parent: ThreadId, child: ThreadId) {
-        let inner = &mut *self.inner.lock();
-        if inner.sheds(&[parent, child]) {
-            return;
-        }
-        inner.sync.fork(parent, child);
+        self.sync_event(&[parent, child], |sync| sync.fork(parent, child));
     }
 
     fn on_join(&self, parent: ThreadId, child: ThreadId) {
-        let inner = &mut *self.inner.lock();
         // A join of an abandoned child is shed too: the child's clock was
         // retired (reset to ⊥), so folding it into the parent would
         // either be a no-op or, worse, a spurious edge from a lazily
         // reinitialized fresh clock.
-        if inner.sheds(&[parent, child]) {
-            return;
-        }
-        inner.sync.join(parent, child);
+        self.sync_event(&[parent, child], |sync| sync.join(parent, child));
     }
 
     fn on_acquire(&self, tid: ThreadId, lock: LockId) {
-        let inner = &mut *self.inner.lock();
-        if inner.sheds(&[tid]) {
-            return;
-        }
-        inner.sync.acquire(tid, lock);
+        self.sync_event(&[tid], |sync| sync.acquire(tid, lock));
     }
 
     fn on_release(&self, tid: ThreadId, lock: LockId) {
-        let inner = &mut *self.inner.lock();
-        if inner.sheds(&[tid]) {
-            return;
-        }
-        inner.sync.release(tid, lock);
+        self.sync_event(&[tid], |sync| sync.release(tid, lock));
     }
 
     fn on_action(&self, tid: ThreadId, action: &Action) {
@@ -247,41 +227,18 @@ impl Analysis for TraceDetector {
             .tracer
             .as_ref()
             .and_then(crace_obs::SampledSpans::maybe);
-        let inner = &mut *self.inner.lock();
-        if inner.sheds(&[tid]) {
+        let Inner {
+            sync,
+            shadow,
+            report,
+        } = &mut *self.inner.lock();
+        if self.shed.sheds(&[tid]) {
             return;
         }
-        let Some(spec) = inner.registry.get(&action.obj()) else {
-            return;
-        };
-        let spec = Arc::clone(spec);
-        let clock = inner.sync.clock(tid).clone();
-        let mode = inner.mode;
-        let provenance_window = inner.provenance_window;
-        let want_detail = provenance_window.is_some() && inner.report.wants_detail();
-        let state = inner
-            .objects
-            .entry(action.obj())
-            .or_insert_with(|| match provenance_window {
-                Some(window) => ObjState::with_provenance(mode, window),
-                None => ObjState::with_mode(mode),
-            });
-        let hits = state.on_action_detailed(&spec, action, tid, &clock, want_detail);
-        let kind = RaceKind::Commutativity { obj: action.obj() };
-        for hit in hits {
-            inner.report.record_with(kind.clone(), || RaceRecord {
-                kind: kind.clone(),
-                tid,
-                action: Some(action.clone()),
-                detail: format!(
-                    "{} touched {} conflicting with active {}",
-                    action,
-                    spec.label(hit.touched),
-                    spec.label(hit.conflicting)
-                ),
-                provenance: hit.provenance,
-            });
-        }
+        let want_detail = shadow.cfg.window.is_some() && report.wants_detail();
+        shadow.on_action(tid, action, sync.clock(tid), want_detail, |race| {
+            report.record_with(race.kind(), || race.render());
+        });
     }
 
     /// Finalizes a dead thread: retires its sync clock and sheds any
@@ -289,8 +246,8 @@ impl Analysis for TraceDetector {
     /// changes what was already reported — the report over the events
     /// delivered before the abandonment is untouched.
     fn abandon_thread(&self, tid: ThreadId) {
-        let inner = &mut *self.inner.lock();
-        inner.abandoned.insert(tid);
+        let mut inner = self.inner.lock();
+        self.shed.abandon(tid);
         inner.sync.retire(tid);
     }
 
@@ -308,31 +265,17 @@ impl crate::Checkpoint for TraceDetector {
         use crate::checkpoint as ck;
         let inner = self.inner.lock();
         let mut w = crace_vclock::CkptWriter::new(self.checkpoint_kind());
-        w.rec(&format!(
-            "meta {} {} {}",
-            ck::mode_word(inner.mode),
-            inner
-                .provenance_window
-                .map_or("-".to_string(), |p| p.to_string()),
-            inner.shed
-        ));
+        inner
+            .shadow
+            .cfg
+            .meta_write(&mut w, &[self.shed.events_shed()]);
         ck::sync_write(&mut w, &inner.sync);
-        ck::abandoned_write(&mut w, inner.abandoned.iter().copied());
+        self.shed.ckpt_write(&mut w);
         ck::report_write(&mut w, "", &inner.report);
-        let mut objects: Vec<ObjId> = inner.registry.keys().copied().collect();
-        objects.sort();
-        for obj in objects {
-            ck::object_header(&mut w, obj, &inner.registry[&obj]);
-            // Objects registered but never acted on have no shadow state
-            // yet; serialize an empty one so restore stays uniform.
-            match inner.objects.get(&obj) {
-                Some(state) => state.ckpt_write(&mut w),
-                None => match inner.provenance_window {
-                    Some(p) => ObjState::with_provenance(inner.mode, p).ckpt_write(&mut w),
-                    None => ObjState::with_mode(inner.mode).ckpt_write(&mut w),
-                },
-            }
-        }
+        // Objects registered but never acted on have no shadow state
+        // yet; they are written with an empty one so restore stays
+        // uniform.
+        inner.shadow.objects_write(&mut w, true);
         w.finish()
     }
 
@@ -342,58 +285,19 @@ impl crate::Checkpoint for TraceDetector {
         resolve: &crate::SpecResolver<'_>,
     ) -> Result<(), crace_vclock::CkptError> {
         use crate::checkpoint as ck;
-        use crace_vclock::ckpt::CkptError;
         let mut r = crace_vclock::CkptReader::new(text, self.checkpoint_kind())?;
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-        if head.tag() != "meta" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `meta`, found `{}`", head.tag()),
-            ));
-        }
-        let mode = ck::mode_parse(head.word(1)?, head.line)?;
-        let provenance_window =
-            match head.word(2)? {
-                "-" => None,
-                p => Some(p.parse::<usize>().map_err(|_| {
-                    CkptError::at(head.line, format!("bad provenance window `{p}`"))
-                })?),
-            };
-        let shed: u64 = head.num(3)?;
-        let line = head.line;
         let inner = &mut *self.inner.lock();
-        if mode != inner.mode {
-            return Err(ck::config_mismatch(line, "clock mode", mode, inner.mode));
-        }
-        if provenance_window != inner.provenance_window {
-            return Err(ck::config_mismatch(
-                line,
-                "provenance window",
-                provenance_window,
-                inner.provenance_window,
-            ));
-        }
+        let shed: u64 = inner.shadow.cfg.meta_read(&mut r)?.num(3)?;
         inner.sync = ck::sync_read(&mut r)?;
-        inner.abandoned = ck::abandoned_read(&mut r)?.into_iter().collect();
+        self.shed.ckpt_read(&mut r, shed)?;
         inner.report = ck::report_read(&mut r, "")?;
-        inner.shed = shed;
-        inner.registry.clear();
-        inner.objects.clear();
-        while let Some(rec) = r.next_rec() {
-            if rec.tag() != "object" {
-                return Err(CkptError::at(
-                    rec.line,
-                    format!("expected `object`, found `{}`", rec.tag()),
-                ));
-            }
-            let (obj, spec) = ck::object_parse(rec, resolve)?;
-            let state = ObjState::ckpt_read(&mut r)?;
-            inner.registry.insert(obj, spec);
-            inner.objects.insert(obj, state);
-        }
-        Ok(())
+        inner.shadow = Shadow::new(inner.shadow.cfg);
+        let shadow = &mut inner.shadow;
+        crate::shadow::objects_read(&mut r, resolve, |obj, spec, state| {
+            shadow.registry.insert(obj, spec);
+            shadow.objects.insert(obj, state);
+        })?;
+        r.expect_end()
     }
 }
 

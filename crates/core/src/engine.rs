@@ -250,15 +250,7 @@ impl ObjState {
     ) -> Result<ObjState, crace_vclock::CkptError> {
         use crate::checkpoint::{mode_parse, point_parse};
         use crace_vclock::ckpt::{adaptive_parse, stats_parse, CkptError};
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint ends where `ostate` was expected"))?;
-        if head.tag() != "ostate" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `ostate`, found `{}`", head.tag()),
-            ));
-        }
+        let head = r.expect("ostate")?;
         let mode = mode_parse(head.word(1)?, head.line)?;
         let probes: u64 = head.num(2)?;
         let stats = stats_parse(head.word(3)?, head.line)?;

@@ -63,6 +63,7 @@ mod direct;
 mod engine;
 pub mod oracle;
 mod points;
+mod shadow;
 mod translate;
 
 pub use checkpoint::{builtin_resolver, Checkpoint, SpecResolver};
@@ -70,6 +71,7 @@ pub use detector::TraceDetector;
 pub use direct::{Direct, DirectDetector};
 pub use engine::{ClockMode, ObjState, RaceHit};
 pub use points::{AccessPoint, ClassId, CompiledSpec, PointKind, TranslationStats};
+pub use shadow::ShedFilter;
 pub use translate::{
     translate, translate_with, OptPass, TranslateError, A3_PIPELINE, MAX_ATOMS_PER_METHOD,
 };

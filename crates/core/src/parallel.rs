@@ -53,10 +53,11 @@
 //!   restore installs the parsed state back into a same-shaped pipeline,
 //!   after which detection continues exactly as if never interrupted.
 
-use crate::engine::{ClockMode, ObjState};
+use crate::engine::ClockMode;
 use crate::points::CompiledSpec;
+use crate::shadow::{Shadow, ShadowCfg, ShedFilter, SpecCache};
 use crace_model::{
-    Action, Analysis, Event, LockId, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId, Trace,
+    Action, Analysis, Event, LockId, ObjId, RaceRecord, RaceReport, ThreadId, Trace,
 };
 use crace_obs::trace::{Lane, PhaseId, Tracer};
 use crace_obs::Registry;
@@ -112,6 +113,16 @@ pub struct ParallelConfig {
     /// nothing and adds no work to any path — the same double-gating
     /// discipline as `provenance_window`.
     pub tracer: Option<Arc<Tracer>>,
+}
+
+impl ParallelConfig {
+    /// The configuration of every worker's shadow core.
+    fn shadow(&self) -> ShadowCfg {
+        ShadowCfg {
+            mode: self.mode,
+            window: self.provenance_window,
+        }
+    }
 }
 
 impl Default for ParallelConfig {
@@ -221,24 +232,33 @@ impl Msg {
     }
 }
 
-/// A one-shot reply slot for a [`Msg::Collect`] barrier.
-#[derive(Default)]
-struct Reply {
-    slot: Mutex<Option<WorkerFindings>>,
+/// A one-shot reply slot for a barrier message: the worker fills it,
+/// the ingress side waits on it.
+struct Slot<T> {
+    value: Mutex<Option<T>>,
     ready: Condvar,
 }
 
-impl Reply {
-    fn fill(&self, findings: WorkerFindings) {
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(findings);
+impl<T> Default for Slot<T> {
+    fn default() -> Slot<T> {
+        Slot {
+            value: Mutex::new(None),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    fn fill(&self, value: T) {
+        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> WorkerFindings {
-        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+    fn wait(&self) -> T {
+        let mut guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(findings) = guard.take() {
-                return findings;
+            if let Some(value) = guard.take() {
+                return value;
             }
             guard = self
                 .ready
@@ -248,59 +268,41 @@ impl Reply {
     }
 }
 
-/// A one-shot reply slot for a [`Msg::Snapshot`] checkpoint barrier.
-#[derive(Default)]
-struct SnapReply {
-    slot: Mutex<Option<WorkerSnapshot>>,
-    ready: Condvar,
-}
+/// Reply slot of a [`Msg::Collect`] (and [`Msg::Install`]) barrier.
+type Reply = Slot<WorkerFindings>;
+/// Reply slot of a [`Msg::Snapshot`] checkpoint barrier.
+type SnapReply = Slot<WorkerSnapshot>;
 
-impl SnapReply {
-    fn fill(&self, snapshot: WorkerSnapshot) {
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(snapshot);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> WorkerSnapshot {
-        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(snapshot) = guard.take() {
-                return snapshot;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A worker's complete shadow state as a value: the supervision
-/// snapshot a heal rebuilds from, and the per-worker section of a
-/// pipeline checkpoint. Exactly the data fields of [`WorkerState`] —
-/// configuration and tracing handles stay with the worker.
+/// A worker's complete shadow state as a value: what [`WorkerState`]
+/// runs on, the supervision snapshot a heal rebuilds from, and the
+/// per-worker section of a pipeline checkpoint.
 #[derive(Clone)]
 struct WorkerSnapshot {
     sync: SyncClocks,
+    /// Thread clocks installed by a shared stream's precomputed
+    /// [`ClockSet`]s; supersedes `sync` until the end-of-ingestion
+    /// [`Msg::SyncState`] reconciliation clears it.
     overlay: HashMap<ThreadId, Arc<VectorClock>>,
-    registry: HashMap<ObjId, Arc<CompiledSpec>>,
-    objects: HashMap<ObjId, ObjState>,
+    shadow: Shadow,
     detailed: Vec<(u64, RaceRecord)>,
     overflow: RaceReport,
+    /// Threads that may still produce events (observed − joined −
+    /// abandoned); the GC watermark is the meet of their clocks.
     live: HashSet<ThreadId>,
     since_gc: usize,
     gc_retired: u64,
+    /// Counters folded out of object states dropped by the GC, so probe
+    /// and clock statistics survive state reclamation.
     folded_probes: u64,
     folded_stats: ClockStats,
 }
 
 impl WorkerSnapshot {
-    fn empty() -> WorkerSnapshot {
+    fn empty(cfg: ShadowCfg) -> WorkerSnapshot {
         WorkerSnapshot {
             sync: SyncClocks::new(),
             overlay: HashMap::new(),
-            registry: HashMap::new(),
-            objects: HashMap::new(),
+            shadow: Shadow::new(cfg),
             detailed: Vec::new(),
             overflow: RaceReport::with_sample_capacity(0),
             live: HashSet::new(),
@@ -329,22 +331,12 @@ impl WorkerSnapshot {
             });
         }
         let mut registry: Vec<(u64, &Arc<CompiledSpec>)> =
-            self.registry.iter().map(|(o, s)| (o.0, s)).collect();
+            self.shadow.registry.iter().map(|(o, s)| (o.0, s)).collect();
         registry.sort_unstable_by_key(|&(o, _)| o);
         for (obj, spec) in registry {
             w.rec(&format!("wreg {obj} {}", esc(spec.spec().name())));
         }
-        let mut objects: Vec<(&ObjId, &ObjState)> = self.objects.iter().collect();
-        objects.sort_by_key(|(obj, _)| obj.0);
-        for (obj, state) in objects {
-            // Object states only exist for registered objects; the
-            // registry entry carries the spec name.
-            let Some(spec) = self.registry.get(obj) else {
-                continue;
-            };
-            ck::object_header(w, *obj, spec);
-            state.ckpt_write(w);
-        }
+        self.shadow.objects_write(w, false);
         for (seq, record) in &self.detailed {
             let mut words = vec!["wdet".to_string(), seq.to_string()];
             ck::record_words(&mut words, record);
@@ -370,11 +362,13 @@ impl WorkerSnapshot {
     fn ckpt_read(
         r: &mut crace_vclock::CkptReader<'_>,
         idx: usize,
+        cfg: ShadowCfg,
         resolve: &crate::SpecResolver<'_>,
     ) -> Result<WorkerSnapshot, crace_vclock::CkptError> {
         use crate::checkpoint as ck;
-        use crace_vclock::ckpt::{stats_parse, vc_parse, CkptError};
-        let mut snap = WorkerSnapshot::empty();
+        use crate::shadow::objects_read;
+        use crace_vclock::ckpt::{stats_parse, vc_parse};
+        let mut snap = WorkerSnapshot::empty(cfg);
         snap.sync = ck::sync_read(r)?;
         while let Some(rec) = r.peek() {
             if rec.tag() != "wover" {
@@ -389,26 +383,14 @@ impl WorkerSnapshot {
             if rec.tag() != "wreg" {
                 break;
             }
-            let obj = ObjId(rec.num(1)?);
-            let name = rec.text(2)?;
-            let spec = resolve(&name).ok_or_else(|| {
-                CkptError::at(
-                    rec.line,
-                    format!("checkpoint references unknown spec `{name}` — cannot restore"),
-                )
-            })?;
-            snap.registry.insert(obj, spec);
+            let (obj, spec) = ck::object_parse(rec, resolve)?;
+            snap.shadow.registry.insert(obj, spec);
             r.next_rec();
         }
-        while let Some(rec) = r.peek() {
-            if rec.tag() != "object" {
-                break;
-            }
-            let (obj, _spec) = ck::object_parse(rec, resolve)?;
-            r.next_rec();
-            let state = ObjState::ckpt_read(r)?;
-            snap.objects.insert(obj, state);
-        }
+        // The registry entry carries the spec; the object record repeats it.
+        objects_read(r, resolve, |obj, _, state| {
+            snap.shadow.objects.insert(obj, state);
+        })?;
         while let Some(rec) = r.peek() {
             if rec.tag() != "wdet" {
                 break;
@@ -419,28 +401,12 @@ impl WorkerSnapshot {
             r.next_rec();
         }
         snap.overflow = ck::report_read(r, &format!("w{idx}."))?;
-        let rec = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint ends where `wlive` was expected"))?;
-        if rec.tag() != "wlive" {
-            return Err(CkptError::at(
-                rec.line,
-                format!("expected `wlive`, found `{}`", rec.tag()),
-            ));
-        }
+        let rec = r.expect("wlive")?;
         let n: usize = rec.num(1)?;
         for i in 0..n {
             snap.live.insert(ThreadId(rec.num(2 + i)?));
         }
-        let rec = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint ends where `wctr` was expected"))?;
-        if rec.tag() != "wctr" {
-            return Err(CkptError::at(
-                rec.line,
-                format!("expected `wctr`, found `{}`", rec.tag()),
-            ));
-        }
+        let rec = r.expect("wctr")?;
         snap.since_gc = rec.num(1)?;
         snap.gc_retired = rec.num(2)?;
         snap.folded_probes = rec.num(3)?;
@@ -638,28 +604,19 @@ impl ParallelStats {
     /// degradation flags as gauges. Safe to call repeatedly — counters are
     /// advanced by delta, never double-counted.
     pub fn feed(&self, registry: &Registry) {
-        fn bump(registry: &Registry, name: &str, now: u64) {
-            let counter = registry.counter(name);
-            let cur = counter.get();
-            if now > cur {
-                counter.add(now - cur);
-            }
-        }
-        bump(registry, "parallel.events_in", self.events_in);
-        bump(registry, "parallel.sync_broadcasts", self.sync_broadcasts);
-        bump(registry, "parallel.events_shed", self.events_shed);
+        let bump = |name: &str, now: u64| registry.counter(name).advance_to(now);
+        bump("parallel.events_in", self.events_in);
+        bump("parallel.sync_broadcasts", self.sync_broadcasts);
+        bump("parallel.events_shed", self.events_shed);
         bump(
-            registry,
             "supervisor.respawns",
             self.workers.iter().map(|w| w.respawns).sum(),
         );
         bump(
-            registry,
             "supervisor.healed_events",
             self.workers.iter().map(|w| w.healed_events).sum(),
         );
         bump(
-            registry,
             "supervisor.heal_micros",
             self.workers.iter().map(|w| w.heal_micros).sum(),
         );
@@ -685,14 +642,10 @@ impl ParallelStats {
 }
 
 /// Producer-side state, serialized by the ingress lock: the global
-/// sequence counter, the per-worker pending batches, and the abandonment
-/// set (the shed filter runs at the ingress so shed events are never
-/// routed at all, matching the serial detectors' counters).
+/// sequence counter and the per-worker pending batches.
 struct Ingress {
     seq: u64,
     pending: Vec<Vec<Msg>>,
-    abandoned: HashSet<ThreadId>,
-    compiled: HashMap<String, Arc<CompiledSpec>>,
     /// The master synchronization clocks, kept in lockstep with the
     /// workers' replicas (every non-shed sync event is applied here too).
     /// [`ParallelRd2::ingest_shared`] replays a recorded trace's sync
@@ -737,8 +690,10 @@ pub struct ParallelRd2 {
     handles: Mutex<Vec<JoinHandle<()>>>,
     cfg: ParallelConfig,
     workers: usize,
-    has_abandoned: AtomicBool,
-    shed: AtomicU64,
+    /// Runs at the ingress, under its lock, so shed events are never
+    /// routed at all, matching the serial detectors' counters.
+    shed: ShedFilter,
+    compiled: SpecCache,
     events_in: AtomicU64,
     sync_broadcasts: AtomicU64,
     trace: Option<IngressTrace>,
@@ -812,8 +767,6 @@ impl ParallelRd2 {
             ingress: Mutex::new(Ingress {
                 seq: 0,
                 pending: (0..workers).map(|_| Vec::new()).collect(),
-                abandoned: HashSet::new(),
-                compiled: HashMap::new(),
                 sync: SyncClocks::new(),
             }),
             rings,
@@ -821,8 +774,8 @@ impl ParallelRd2 {
             handles: Mutex::new(handles),
             cfg,
             workers,
-            has_abandoned: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
+            shed: ShedFilter::new(),
+            compiled: SpecCache::default(),
             events_in: AtomicU64::new(0),
             sync_broadcasts: AtomicU64::new(0),
             trace,
@@ -872,21 +825,6 @@ impl ParallelRd2 {
         }
     }
 
-    /// Ingress shed filter (identical to the serial detectors): one shed
-    /// count per event naming an abandoned thread, fast-pathed to a single
-    /// relaxed load while nothing was ever abandoned.
-    fn sheds(&self, ingress: &Ingress, tids: &[ThreadId]) -> bool {
-        if !self.has_abandoned.load(Ordering::Relaxed) {
-            return false;
-        }
-        if tids.iter().any(|t| ingress.abandoned.contains(t)) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Broadcasts one synchronization event, in ingress order, to every
     /// worker, mirroring it onto the ingress's master clocks.
     fn sync_event(
@@ -896,7 +834,7 @@ impl ParallelRd2 {
         apply: impl FnOnce(&mut SyncClocks),
     ) {
         let mut ingress = self.lock_ingress();
-        if self.sheds(&ingress, tids) {
+        if self.shed.sheds(tids) {
             return;
         }
         ingress.seq += 1;
@@ -928,20 +866,7 @@ impl ParallelRd2 {
         obj: ObjId,
         spec: &crace_spec::Spec,
     ) -> Result<(), crate::TranslateError> {
-        let compiled = {
-            let mut ingress = self.lock_ingress();
-            match ingress.compiled.get(spec.name()) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(crate::translate(spec)?);
-                    ingress
-                        .compiled
-                        .insert(spec.name().to_string(), Arc::clone(&c));
-                    c
-                }
-            }
-        };
-        self.register(obj, compiled);
+        self.register(obj, self.compiled.get(spec)?);
         Ok(())
     }
 
@@ -955,7 +880,7 @@ impl ParallelRd2 {
     /// Number of events shed at the ingress because they named an
     /// abandoned thread.
     pub fn events_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.events_shed()
     }
 
     /// Chaos hook: delivers a poison message to `worker` (modulo the pool
@@ -1007,7 +932,7 @@ impl ParallelRd2 {
         if trace.is_empty() {
             return;
         }
-        if self.has_abandoned.load(Ordering::Relaxed) {
+        if self.shed.any() {
             for event in trace.events() {
                 self.on_event(event);
             }
@@ -1173,30 +1098,6 @@ impl ParallelRd2 {
             .iter()
             .any(|s| s.degraded.load(Ordering::Relaxed))
     }
-
-    /// Checkpoint barrier: flushes a [`Msg::Snapshot`] to every worker
-    /// while holding the ingress lock, so the returned ingress state
-    /// (sequence number, master clocks, abandonment set) and the worker
-    /// snapshots all correspond to exactly the same stream prefix.
-    fn snapshot_barrier(&self) -> (u64, SyncClocks, HashSet<ThreadId>, Vec<WorkerSnapshot>) {
-        let replies: Vec<Arc<SnapReply>> = (0..self.workers)
-            .map(|_| Arc::new(SnapReply::default()))
-            .collect();
-        let (seq, sync, abandoned) = {
-            let mut ingress = self.lock_ingress();
-            for (w, reply) in replies.iter().enumerate() {
-                ingress.pending[w].push(Msg::Snapshot(Arc::clone(reply)));
-                self.flush(&mut ingress, w);
-            }
-            (ingress.seq, ingress.sync.clone(), ingress.abandoned.clone())
-        };
-        (
-            seq,
-            sync,
-            abandoned,
-            replies.iter().map(|r| r.wait()).collect(),
-        )
-    }
 }
 
 impl crate::Checkpoint for ParallelRd2 {
@@ -1204,26 +1105,37 @@ impl crate::Checkpoint for ParallelRd2 {
         "rd2-parallel"
     }
 
+    /// A snapshot barrier: while the ingress lock is held, every worker
+    /// is sent a snapshot request and the ingress state (sequence number,
+    /// counters, master clocks, abandonment set) is written, so the whole
+    /// checkpoint corresponds to exactly one stream prefix.
     fn checkpoint(&self) -> String {
         use crate::checkpoint as ck;
-        let (seq, sync, abandoned, snaps) = self.snapshot_barrier();
         let mut w = crace_vclock::CkptWriter::new(self.checkpoint_kind());
-        w.rec(&format!(
-            "meta {} {} {} {} {} {} {}",
-            ck::mode_word(self.cfg.mode),
-            self.cfg
-                .provenance_window
-                .map_or("-".to_string(), |p| p.to_string()),
-            self.workers,
-            seq,
-            self.events_in.load(Ordering::Relaxed),
-            self.sync_broadcasts.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed)
-        ));
-        ck::sync_write(&mut w, &sync);
-        ck::abandoned_write(&mut w, abandoned.iter().copied());
-        for (idx, snap) in snaps.iter().enumerate() {
-            snap.ckpt_write(idx, &mut w);
+        let replies: Vec<Arc<SnapReply>> = (0..self.workers)
+            .map(|_| Arc::new(SnapReply::default()))
+            .collect();
+        {
+            let mut ingress = self.lock_ingress();
+            for (w, reply) in replies.iter().enumerate() {
+                ingress.pending[w].push(Msg::Snapshot(Arc::clone(reply)));
+                self.flush(&mut ingress, w);
+            }
+            self.cfg.shadow().meta_write(
+                &mut w,
+                &[
+                    self.workers as u64,
+                    ingress.seq,
+                    self.events_in.load(Ordering::Relaxed),
+                    self.sync_broadcasts.load(Ordering::Relaxed),
+                    self.shed.events_shed(),
+                ],
+            );
+            ck::sync_write(&mut w, &ingress.sync);
+            self.shed.ckpt_write(&mut w);
+        }
+        for (idx, reply) in replies.iter().enumerate() {
+            reply.wait().ckpt_write(idx, &mut w);
         }
         w.finish()
     }
@@ -1236,40 +1148,9 @@ impl crate::Checkpoint for ParallelRd2 {
         use crate::checkpoint as ck;
         use crace_vclock::ckpt::CkptError;
         let mut r = crace_vclock::CkptReader::new(text, self.checkpoint_kind())?;
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-        if head.tag() != "meta" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `meta`, found `{}`", head.tag()),
-            ));
-        }
-        let mode = ck::mode_parse(head.word(1)?, head.line)?;
-        let provenance_window =
-            match head.word(2)? {
-                "-" => None,
-                p => Some(p.parse::<usize>().map_err(|_| {
-                    CkptError::at(head.line, format!("bad provenance window `{p}`"))
-                })?),
-            };
+        let cfg = self.cfg.shadow();
+        let head = cfg.meta_read(&mut r)?;
         let workers: usize = head.num(3)?;
-        if mode != self.cfg.mode {
-            return Err(ck::config_mismatch(
-                head.line,
-                "clock mode",
-                mode,
-                self.cfg.mode,
-            ));
-        }
-        if provenance_window != self.cfg.provenance_window {
-            return Err(ck::config_mismatch(
-                head.line,
-                "provenance window",
-                provenance_window,
-                self.cfg.provenance_window,
-            ));
-        }
         if workers != self.workers {
             return Err(ck::config_mismatch(
                 head.line,
@@ -1283,29 +1164,19 @@ impl crate::Checkpoint for ParallelRd2 {
         let sync_broadcasts: u64 = head.num(6)?;
         let shed: u64 = head.num(7)?;
         let sync = ck::sync_read(&mut r)?;
-        let abandoned: HashSet<ThreadId> = ck::abandoned_read(&mut r)?.into_iter().collect();
+        self.shed.ckpt_read(&mut r, shed)?;
         let mut snaps = Vec::with_capacity(self.workers);
         for idx in 0..self.workers {
-            let rec = r.next_rec().ok_or_else(|| {
-                CkptError::at(
-                    0,
-                    format!("checkpoint ends where `worker {idx}` was expected"),
-                )
-            })?;
-            if rec.tag() != "worker" || rec.num::<usize>(1)? != idx {
+            let rec = r.expect("worker")?;
+            if rec.num::<usize>(1)? != idx {
                 return Err(CkptError::at(
                     rec.line,
-                    format!("expected `worker {idx}`, found `{}`", rec.tag()),
+                    format!("expected `worker {idx}`, found `worker {}`", rec.word(1)?),
                 ));
             }
-            snaps.push(WorkerSnapshot::ckpt_read(&mut r, idx, resolve)?);
+            snaps.push(WorkerSnapshot::ckpt_read(&mut r, idx, cfg, resolve)?);
         }
-        if let Some(rec) = r.peek() {
-            return Err(CkptError::at(
-                rec.line,
-                format!("unexpected trailing record `{}`", rec.tag()),
-            ));
-        }
+        r.expect_end()?;
         // Install: discard whatever the pipeline held and load the
         // checkpointed state into ingress and workers.
         let replies: Vec<Arc<Reply>> = (0..self.workers)
@@ -1315,16 +1186,12 @@ impl crate::Checkpoint for ParallelRd2 {
             let mut ingress = self.lock_ingress();
             ingress.seq = seq;
             ingress.sync = sync;
-            ingress.abandoned = abandoned.clone();
             for ((w, snap), reply) in snaps.drain(..).enumerate().zip(&replies) {
                 ingress.pending[w].clear();
                 ingress.pending[w].push(Msg::Install(Box::new(snap), Arc::clone(reply)));
                 self.flush(&mut ingress, w);
             }
         }
-        self.has_abandoned
-            .store(!abandoned.is_empty(), Ordering::Relaxed);
-        self.shed.store(shed, Ordering::Relaxed);
         self.events_in.store(events_in, Ordering::Relaxed);
         self.sync_broadcasts
             .store(sync_broadcasts, Ordering::Relaxed);
@@ -1374,7 +1241,7 @@ impl Analysis for ParallelRd2 {
 
     fn on_action(&self, tid: ThreadId, action: &Action) {
         let mut ingress = self.lock_ingress();
-        if self.sheds(&ingress, &[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         ingress.seq += 1;
@@ -1397,9 +1264,8 @@ impl Analysis for ParallelRd2 {
     /// its clock slot in-stream (no happens-before edges introduced).
     fn abandon_thread(&self, tid: ThreadId) {
         let mut ingress = self.lock_ingress();
-        ingress.abandoned.insert(tid);
+        self.shed.abandon(tid);
         ingress.sync.retire(tid);
-        self.has_abandoned.store(true, Ordering::Relaxed);
         for w in 0..self.workers {
             self.enqueue(&mut ingress, w, Msg::Abandon(tid));
         }
@@ -1453,98 +1319,55 @@ impl Drop for ParallelRd2 {
     }
 }
 
-/// A worker's private shadow state: its replica of the synchronization
-/// clocks, the object states it owns, and its race findings.
+/// A worker: its shadow state (its replica of the synchronization
+/// clocks, the object states it owns, and its race findings) plus the
+/// GC cadence and tracing handles it runs with.
 struct WorkerState {
-    mode: ClockMode,
-    provenance_window: Option<usize>,
     gc_every: usize,
-    sync: SyncClocks,
-    /// Thread clocks installed by a shared stream's precomputed
-    /// [`ClockSet`]s; supersedes `sync` until the end-of-ingestion
-    /// [`Msg::SyncState`] reconciliation clears it.
-    overlay: HashMap<ThreadId, Arc<VectorClock>>,
-    registry: HashMap<ObjId, Arc<CompiledSpec>>,
-    objects: HashMap<ObjId, ObjState>,
-    detailed: Vec<(u64, RaceRecord)>,
-    overflow: RaceReport,
-    /// Threads that may still produce events (observed − joined −
-    /// abandoned); the GC watermark is the meet of their clocks.
-    live: HashSet<ThreadId>,
-    since_gc: usize,
-    gc_retired: u64,
-    /// Counters folded out of object states dropped by the GC, so probe
-    /// and clock statistics survive state reclamation.
-    folded_probes: u64,
-    folded_stats: ClockStats,
+    data: WorkerSnapshot,
     /// Tracing handles for the GC sweep span; `None` when untraced.
     trace: Option<WorkerTrace>,
 }
 
 impl WorkerState {
-    fn new(cfg: &ParallelConfig, trace: Option<WorkerTrace>) -> WorkerState {
+    fn new(cfg: &ParallelConfig, data: WorkerSnapshot, trace: Option<WorkerTrace>) -> WorkerState {
         WorkerState {
-            mode: cfg.mode,
-            provenance_window: cfg.provenance_window,
             gc_every: cfg.gc_every,
-            sync: SyncClocks::new(),
-            overlay: HashMap::new(),
-            registry: HashMap::new(),
-            objects: HashMap::new(),
-            detailed: Vec::new(),
-            overflow: RaceReport::with_sample_capacity(0),
-            live: HashSet::new(),
-            since_gc: 0,
-            gc_retired: 0,
-            folded_probes: 0,
-            folded_stats: ClockStats::default(),
+            data,
             trace,
         }
     }
 
-    fn fork(&mut self, parent: ThreadId, child: ThreadId) {
-        self.sync.fork(parent, child);
+    /// Marks `tid` as a thread that may still produce events (GC only).
+    fn touch(&mut self, tid: ThreadId) {
         if self.gc_every > 0 {
-            self.live.insert(parent);
-            self.live.insert(child);
+            self.data.live.insert(tid);
+        }
+    }
+
+    /// Drops `tid` from the GC live set: it emits no further events.
+    fn retire_live(&mut self, tid: ThreadId) {
+        if self.gc_every > 0 {
+            self.data.live.remove(&tid);
         }
     }
 
     fn join(&mut self, parent: ThreadId, child: ThreadId) {
-        self.sync.join(parent, child);
-        if self.gc_every > 0 {
-            self.live.insert(parent);
-            // A joined thread emits no further events (well-formed
-            // traces), so its frozen clock no longer holds the watermark
-            // back.
-            self.live.remove(&child);
-        }
-    }
-
-    fn acquire(&mut self, tid: ThreadId, lock: LockId) {
-        self.sync.acquire(tid, lock);
-        if self.gc_every > 0 {
-            self.live.insert(tid);
-        }
-    }
-
-    fn release(&mut self, tid: ThreadId, lock: LockId) {
-        self.sync.release(tid, lock);
-        if self.gc_every > 0 {
-            self.live.insert(tid);
-        }
+        self.data.sync.join(parent, child);
+        self.touch(parent);
+        // A joined thread emits no further events (well-formed traces),
+        // so its frozen clock no longer holds the watermark back.
+        self.retire_live(child);
     }
 
     /// Installs one precomputed clock update from a shared stream: an
     /// `Arc` pointer swap instead of replaying the sync event's join.
     fn clock_set(&mut self, set: &ClockSet) {
-        self.overlay.insert(set.tid, Arc::clone(&set.clock));
-        if self.gc_every > 0 {
-            if set.dead {
-                self.live.remove(&set.tid);
-            } else {
-                self.live.insert(set.tid);
-            }
+        self.data.overlay.insert(set.tid, Arc::clone(&set.clock));
+        if set.dead {
+            self.retire_live(set.tid);
+        } else {
+            self.touch(set.tid);
         }
     }
 
@@ -1554,10 +1377,20 @@ impl WorkerState {
     /// batches for heal replay without cloning the hot path.
     fn process(&mut self, msg: &Msg) -> u64 {
         match msg {
-            Msg::Fork(parent, child) => self.fork(*parent, *child),
+            Msg::Fork(parent, child) => {
+                self.data.sync.fork(*parent, *child);
+                self.touch(*parent);
+                self.touch(*child);
+            }
             Msg::Join(parent, child) => self.join(*parent, *child),
-            Msg::Acquire(tid, lock) => self.acquire(*tid, *lock),
-            Msg::Release(tid, lock) => self.release(*tid, *lock),
+            Msg::Acquire(tid, lock) => {
+                self.data.sync.acquire(*tid, *lock);
+                self.touch(*tid);
+            }
+            Msg::Release(tid, lock) => {
+                self.data.sync.release(*tid, *lock);
+                self.touch(*tid);
+            }
             Msg::Action { seq, tid, action } => self.action(*seq, *tid, action),
             Msg::Shared {
                 base,
@@ -1586,23 +1419,17 @@ impl WorkerState {
                 return picks.len() as u64;
             }
             Msg::SyncState(state) => {
-                self.sync = (**state).clone();
-                self.overlay.clear();
+                self.data.sync = (**state).clone();
+                self.data.overlay.clear();
             }
-            Msg::Register(obj, spec) => {
-                // Re-registration resets the object's state, as in the
-                // serial detectors.
-                self.objects.remove(obj);
-                self.registry.insert(*obj, Arc::clone(spec));
-            }
-            Msg::Forget(obj) => {
-                self.registry.remove(obj);
-                self.objects.remove(obj);
-            }
+            // Re-registration resets the object's state, as in the
+            // serial detectors.
+            Msg::Register(obj, spec) => self.data.shadow.register(*obj, Arc::clone(spec)),
+            Msg::Forget(obj) => self.data.shadow.forget(*obj),
             Msg::Abandon(tid) => {
-                self.sync.retire(*tid);
-                self.overlay.remove(tid);
-                self.live.remove(tid);
+                self.data.sync.retire(*tid);
+                self.data.overlay.remove(tid);
+                self.data.live.remove(tid);
             }
             Msg::Poison => panic!("injected worker panic"),
             // Handled by the worker loop, never forwarded here.
@@ -1613,98 +1440,26 @@ impl WorkerState {
         1
     }
 
-    /// Clones the data fields into a [`WorkerSnapshot`].
-    fn snapshot(&self) -> WorkerSnapshot {
-        WorkerSnapshot {
-            sync: self.sync.clone(),
-            overlay: self.overlay.clone(),
-            registry: self.registry.clone(),
-            objects: self.objects.clone(),
-            detailed: self.detailed.clone(),
-            overflow: self.overflow.clone(),
-            live: self.live.clone(),
-            since_gc: self.since_gc,
-            gc_retired: self.gc_retired,
-            folded_probes: self.folded_probes,
-            folded_stats: self.folded_stats,
-        }
-    }
-
-    /// Replaces the data fields with `snap`, keeping configuration and
-    /// tracing handles.
-    fn install(&mut self, snap: WorkerSnapshot) {
-        self.sync = snap.sync;
-        self.overlay = snap.overlay;
-        self.registry = snap.registry;
-        self.objects = snap.objects;
-        self.detailed = snap.detailed;
-        self.overflow = snap.overflow;
-        self.live = snap.live;
-        self.since_gc = snap.since_gc;
-        self.gc_retired = snap.gc_retired;
-        self.folded_probes = snap.folded_probes;
-        self.folded_stats = snap.folded_stats;
-    }
-
-    /// A fresh worker rebuilt from a supervision snapshot.
-    fn from_snapshot(
-        snap: WorkerSnapshot,
-        cfg: &ParallelConfig,
-        trace: Option<WorkerTrace>,
-    ) -> WorkerState {
-        let mut state = WorkerState::new(cfg, trace);
-        state.install(snap);
-        state
-    }
-
     fn action(&mut self, seq: u64, tid: ThreadId, action: &Action) {
-        let Some(spec) = self.registry.get(&action.obj()) else {
-            return;
-        };
-        if self.gc_every > 0 {
-            self.live.insert(tid);
-        }
-        let want_detail = self.provenance_window.is_some() && self.detailed.len() < SAMPLE_CAP;
-        let (mode, window) = (self.mode, self.provenance_window);
-        let state = self
-            .objects
-            .entry(action.obj())
-            .or_insert_with(|| match window {
-                Some(w) => ObjState::with_provenance(mode, w),
-                None => ObjState::with_mode(mode),
-            });
-        let clock = match self.overlay.get(&tid) {
+        let d = &mut self.data;
+        let want_detail = d.shadow.cfg.window.is_some() && d.detailed.len() < SAMPLE_CAP;
+        let clock = match d.overlay.get(&tid) {
             Some(clock) => clock.as_ref(),
-            None => self.sync.clock(tid),
+            None => d.sync.clock(tid),
         };
-        let hits = state.on_action_detailed(spec, action, tid, clock, want_detail);
-        if !hits.is_empty() {
-            let kind = RaceKind::Commutativity { obj: action.obj() };
-            for hit in hits {
-                if self.detailed.len() < SAMPLE_CAP {
-                    self.detailed.push((
-                        seq,
-                        RaceRecord {
-                            kind: kind.clone(),
-                            tid,
-                            action: Some(action.clone()),
-                            detail: format!(
-                                "{} touched {} conflicting with active {}",
-                                action,
-                                spec.label(hit.touched),
-                                spec.label(hit.conflicting)
-                            ),
-                            provenance: hit.provenance,
-                        },
-                    ));
-                } else {
-                    // Count-only: capacity 0 means the closure never runs.
-                    self.overflow
-                        .record_with(kind.clone(), || unreachable!("sample capacity is 0"));
-                }
+        let (detailed, overflow) = (&mut d.detailed, &mut d.overflow);
+        let registered = d.shadow.on_action(tid, action, clock, want_detail, |race| {
+            if detailed.len() < SAMPLE_CAP {
+                detailed.push((seq, race.render()));
+            } else {
+                // Count-only: capacity 0 means the closure never runs.
+                overflow.record_with(race.kind(), || unreachable!("sample capacity is 0"));
             }
+        });
+        if registered {
+            self.touch(tid);
+            self.maybe_gc();
         }
-        self.maybe_gc();
     }
 
     /// The epoch-GC sweep: when due, computes the watermark (meet of all
@@ -1716,15 +1471,16 @@ impl WorkerState {
         if self.gc_every == 0 {
             return;
         }
-        self.since_gc += 1;
-        if self.since_gc < self.gc_every {
+        let d = &mut self.data;
+        d.since_gc += 1;
+        if d.since_gc < self.gc_every {
             return;
         }
-        self.since_gc = 0;
+        d.since_gc = 0;
         let _span = self.trace.as_ref().map(|t| t.lane.span(t.p_gc));
         let mut watermark: Option<VectorClock> = None;
-        for &tid in &self.live {
-            match self.sync.peek_clock(tid) {
+        for &tid in &d.live {
+            match d.sync.peek_clock(tid) {
                 Some(clock) => match &mut watermark {
                     Some(wm) => wm.meet_in_place(clock),
                     None => watermark = Some(clock.clone()),
@@ -1737,11 +1493,11 @@ impl WorkerState {
         // No live thread at all: be conservative and keep everything (a
         // fresh root thread could still appear in a hand-written trace).
         let Some(watermark) = watermark else { return };
-        let keep_empty = self.provenance_window.is_some();
+        let keep_empty = d.shadow.cfg.window.is_some();
         let mut retired = 0u64;
         let mut folded_probes = 0u64;
         let mut folded_stats = ClockStats::default();
-        self.objects.retain(|_, state| {
+        d.shadow.objects.retain(|_, state| {
             retired += state.retire_quiesced(&watermark) as u64;
             if state.num_active() == 0 && !keep_empty {
                 folded_probes += state.num_probes();
@@ -1751,24 +1507,21 @@ impl WorkerState {
                 true
             }
         });
-        self.gc_retired += retired;
-        self.folded_probes += folded_probes;
-        self.folded_stats.merge(&folded_stats);
+        d.gc_retired += retired;
+        d.folded_probes += folded_probes;
+        d.folded_stats.merge(&folded_stats);
     }
 
     fn findings(&self) -> WorkerFindings {
-        let mut clock_stats = self.folded_stats;
-        let mut probes = self.folded_probes;
-        for state in self.objects.values() {
-            clock_stats.merge(&state.clock_stats());
-            probes += state.num_probes();
-        }
+        let d = &self.data;
+        let mut clock_stats = d.folded_stats;
+        clock_stats.merge(&d.shadow.clock_stats());
         WorkerFindings {
-            detailed: self.detailed.clone(),
-            overflow: self.overflow.clone(),
+            detailed: d.detailed.clone(),
+            overflow: d.overflow.clone(),
             clock_stats,
-            probes,
-            gc_retired: self.gc_retired,
+            probes: d.folded_probes + d.shadow.probes(),
+            gc_retired: d.gc_retired,
         }
     }
 }
@@ -1787,7 +1540,7 @@ impl Supervisor {
     /// Refreshes the snapshot to `state`'s current value and recycles the
     /// journal buffers back to the ring.
     fn refresh(&mut self, state: &WorkerState, ring: &Ring) {
-        self.snap = Some(Box::new(state.snapshot()));
+        self.snap = Some(Box::new(state.data.clone()));
         for (batch, _) in self.journal.drain(..) {
             ring.recycle(batch);
         }
@@ -1808,7 +1561,7 @@ impl Supervisor {
         at: usize,
     ) -> Option<(WorkerState, u64)> {
         let base = self.snap.as_ref()?;
-        let mut fresh = WorkerState::from_snapshot((**base).clone(), cfg, trace.clone());
+        let mut fresh = WorkerState::new(cfg, (**base).clone(), trace.clone());
         let mut replayed = 0u64;
         let ok = catch_unwind(AssertUnwindSafe(|| {
             for (b, start) in &self.journal {
@@ -1840,10 +1593,10 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
         p_gc: t.phase("parallel.gc"),
         p_heal: t.phase("parallel.heal"),
     });
-    let mut state = WorkerState::new(cfg, trace.clone());
+    let mut state = WorkerState::new(cfg, WorkerSnapshot::empty(cfg.shadow()), trace.clone());
     let supervise = cfg.snapshot_every > 0;
     let mut sup = Supervisor {
-        snap: supervise.then(|| Box::new(state.snapshot())),
+        snap: supervise.then(|| Box::new(state.data.clone())),
         journal: Vec::new(),
         events_since_snap: 0,
     };
@@ -1872,11 +1625,11 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
                 Msg::Snapshot(reply) => {
                     // Checkpoint barrier: even a degraded worker answers
                     // with what it has (fail-open, like Collect).
-                    let snapshot = catch_unwind(AssertUnwindSafe(|| state.snapshot()))
+                    let snapshot = catch_unwind(AssertUnwindSafe(|| state.data.clone()))
                         .unwrap_or_else(|_| {
                             shared.panics.fetch_add(1, Ordering::Relaxed);
                             shared.degraded.store(true, Ordering::Relaxed);
-                            WorkerSnapshot::empty()
+                            WorkerSnapshot::empty(cfg.shadow())
                         });
                     reply.fill(snapshot);
                     continue;
@@ -1885,7 +1638,7 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
                     // Restore barrier: replace the shadow state wholesale
                     // and clear any degradation — the state is rebuilt, so
                     // the quarantine reason is gone.
-                    state.install((**snapshot).clone());
+                    state.data = (**snapshot).clone();
                     shared.degraded.store(false, Ordering::Relaxed);
                     if supervise {
                         sup.refresh(&state, ring);
@@ -1967,7 +1720,7 @@ mod tests {
     use super::*;
     use crate::translate;
     use crate::Rd2;
-    use crace_model::Value;
+    use crace_model::{RaceKind, Value};
     use crace_spec::builtin;
 
     fn dict_pair() -> (crace_spec::Spec, Arc<CompiledSpec>) {

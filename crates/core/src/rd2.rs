@@ -3,11 +3,11 @@
 
 use crate::engine::{ClockMode, ObjState};
 use crate::points::CompiledSpec;
-use crace_model::{Action, Analysis, LockId, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId};
+use crate::shadow::{Race, ShadowCfg, ShedFilter, SpecCache};
+use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, PublishedClocks};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Number of shards of the object map. Objects hash to shards by id, so
@@ -59,21 +59,11 @@ pub struct Rd2 {
     sync: PublishedClocks,
     objects: [RwLock<HashMap<ObjId, Arc<ObjEntry>>>; OBJ_SHARDS],
     report: Mutex<RaceReport>,
-    /// Cache of compiled specifications, keyed by spec name, so that
-    /// registering the Nth dictionary does not re-run the translation.
-    compiled: Mutex<HashMap<String, Arc<CompiledSpec>>>,
-    mode: ClockMode,
-    /// When set, objects collect race provenance with an event window of
-    /// this many actions (see [`ObjState::with_provenance`]).
-    provenance_window: Option<usize>,
+    compiled: SpecCache,
+    cfg: ShadowCfg,
     /// Threads abandoned via [`Analysis::abandon_thread`]: retired clocks,
     /// later events naming them shed.
-    abandoned: RwLock<HashSet<ThreadId>>,
-    /// Fast-path guard: true iff `abandoned` is non-empty, so the common
-    /// (no faults ever) case pays one relaxed load, not a lock.
-    has_abandoned: AtomicBool,
-    /// Events shed because they named an abandoned thread.
-    shed: AtomicU64,
+    shed: ShedFilter,
     /// When set, `on_action` records sampled spans into a tracer lane
     /// (see [`Rd2::with_tracer`]); `None` costs one branch per action.
     tracer: Option<crace_obs::SampledSpans>,
@@ -99,12 +89,9 @@ impl Rd2 {
             sync: PublishedClocks::new(),
             objects: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             report: Mutex::new(RaceReport::new()),
-            compiled: Mutex::new(HashMap::new()),
-            mode,
-            provenance_window: None,
-            abandoned: RwLock::new(HashSet::new()),
-            has_abandoned: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
+            compiled: SpecCache::default(),
+            cfg: ShadowCfg { mode, window: None },
+            shed: ShedFilter::new(),
             tracer: None,
         }
     }
@@ -118,7 +105,10 @@ impl Rd2 {
     /// registered objects; leave it off for overhead measurements.
     pub fn with_provenance(window: usize) -> Rd2 {
         Rd2 {
-            provenance_window: Some(window),
+            cfg: ShadowCfg {
+                mode: ClockMode::Adaptive,
+                window: Some(window),
+            },
             ..Rd2::new()
         }
     }
@@ -128,6 +118,13 @@ impl Rd2 {
     /// `rd2.on_action`). `sample_every == 0` disables the sampling; the
     /// untraced constructors skip even the sampling branch's atomic.
     pub fn with_tracer(tracer: &crace_obs::Tracer, sample_every: u64) -> Rd2 {
+        Rd2::new().traced(tracer, sample_every)
+    }
+
+    /// This detector, additionally recording sampled `on_action` spans as
+    /// [`Rd2::with_tracer`] does; composes with any other constructor
+    /// (e.g. provenance and tracing together).
+    pub fn traced(self, tracer: &crace_obs::Tracer, sample_every: u64) -> Rd2 {
         Rd2 {
             tracer: Some(crace_obs::SampledSpans::new(
                 tracer,
@@ -135,7 +132,7 @@ impl Rd2 {
                 "rd2.on_action",
                 sample_every,
             )),
-            ..Rd2::new()
+            ..self
         }
     }
 
@@ -143,25 +140,9 @@ impl Rd2 {
         &self.objects[(obj.0 as usize) % OBJ_SHARDS]
     }
 
-    /// True iff an event naming any of `tids` must be shed because that
-    /// thread was abandoned. One relaxed load when no thread has ever
-    /// been abandoned — the hot path stays lock-free.
-    fn sheds(&self, tids: &[ThreadId]) -> bool {
-        if !self.has_abandoned.load(Ordering::Relaxed) {
-            return false;
-        }
-        let abandoned = self.abandoned.read();
-        if tids.iter().any(|t| abandoned.contains(t)) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of events shed because they named an abandoned thread.
     pub fn events_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.events_shed()
     }
 
     /// Registers `obj` against an (uncompiled) logical specification,
@@ -175,28 +156,17 @@ impl Rd2 {
         obj: ObjId,
         spec: &crace_spec::Spec,
     ) -> Result<(), crate::TranslateError> {
-        let compiled = {
-            let mut cache = self.compiled.lock();
-            match cache.get(spec.name()) {
-                Some(c) => Arc::clone(c),
-                None => {
-                    let c = Arc::new(crate::translate(spec)?);
-                    cache.insert(spec.name().to_string(), Arc::clone(&c));
-                    c
-                }
-            }
-        };
-        self.register(obj, compiled);
+        self.register(obj, self.compiled.get(spec)?);
         Ok(())
     }
 
     /// Registers `obj` to be checked against `spec`. Actions on
     /// unregistered objects are ignored (selective instrumentation).
     pub fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        let state = match self.provenance_window {
-            Some(window) => ObjState::with_provenance(self.mode, window),
-            None => ObjState::with_mode(self.mode),
-        };
+        self.install(obj, spec, self.cfg.new_state());
+    }
+
+    fn install(&self, obj: ObjId, spec: Arc<CompiledSpec>, state: ObjState) {
         self.shard(obj).write().insert(
             obj,
             Arc::new(ObjEntry {
@@ -249,7 +219,7 @@ impl Analysis for Rd2 {
     }
 
     fn on_fork(&self, parent: ThreadId, child: ThreadId) {
-        if self.sheds(&[parent, child]) {
+        if self.shed.sheds(&[parent, child]) {
             return;
         }
         self.sync.fork(parent, child);
@@ -258,28 +228,28 @@ impl Analysis for Rd2 {
     fn on_join(&self, parent: ThreadId, child: ThreadId) {
         // Joining an abandoned child is shed: its slot was dropped, so
         // the join would fold a lazily reinitialized fresh clock.
-        if self.sheds(&[parent, child]) {
+        if self.shed.sheds(&[parent, child]) {
             return;
         }
         self.sync.join(parent, child);
     }
 
     fn on_acquire(&self, tid: ThreadId, lock: LockId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.sync.acquire(tid, lock);
     }
 
     fn on_release(&self, tid: ThreadId, lock: LockId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.sync.release(tid, lock);
     }
 
     fn on_action(&self, tid: ThreadId, action: &Action) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         let _span = self
@@ -295,7 +265,7 @@ impl Analysis for Rd2 {
         let clock = self.sync.clock(tid);
         // Rendering provenance is pointless once the report's sample
         // buffer is full; the check only costs a lock in provenance mode.
-        let want_detail = self.provenance_window.is_some() && self.report.lock().wants_detail();
+        let want_detail = self.cfg.window.is_some() && self.report.lock().wants_detail();
         let races =
             entry
                 .state
@@ -303,20 +273,14 @@ impl Analysis for Rd2 {
                 .on_action_detailed(&entry.spec, action, tid, &clock, want_detail);
         if !races.is_empty() {
             let mut report = self.report.lock();
-            let kind = RaceKind::Commutativity { obj: action.obj() };
             for hit in races {
-                report.record_with(kind.clone(), || RaceRecord {
-                    kind: kind.clone(),
+                let race = Race {
+                    spec: &entry.spec,
                     tid,
-                    action: Some(action.clone()),
-                    detail: format!(
-                        "{} touched {} conflicting with active {}",
-                        action,
-                        entry.spec.label(hit.touched),
-                        entry.spec.label(hit.conflicting)
-                    ),
-                    provenance: hit.provenance,
-                });
+                    action,
+                    hit,
+                };
+                report.record_with(race.kind(), || race.render());
             }
         }
     }
@@ -325,8 +289,7 @@ impl Analysis for Rd2 {
     /// sheds all later events naming it. No happens-before edges are
     /// introduced and the report over the delivered prefix is untouched.
     fn abandon_thread(&self, tid: ThreadId) {
-        self.abandoned.write().insert(tid);
-        self.has_abandoned.store(true, Ordering::Relaxed);
+        self.shed.abandon(tid);
         self.sync.retire(tid);
     }
 
@@ -345,13 +308,7 @@ impl crate::Checkpoint for Rd2 {
         use crace_vclock::ckpt::vc_append;
         use std::fmt::Write;
         let mut w = crace_vclock::CkptWriter::new(self.checkpoint_kind());
-        w.rec(&format!(
-            "meta {} {} {}",
-            ck::mode_word(self.mode),
-            self.provenance_window
-                .map_or("-".to_string(), |p| p.to_string()),
-            self.shed.load(Ordering::Relaxed)
-        ));
+        self.cfg.meta_write(&mut w, &[self.shed.events_shed()]);
         // PublishedClocks slots are keyed snapshots (a retired slot is
         // removed, not reset), so records carry explicit tids.
         for (tid, clock) in self.sync.thread_snapshots() {
@@ -366,7 +323,7 @@ impl crate::Checkpoint for Rd2 {
                 vc_append(out, &clock);
             });
         }
-        ck::abandoned_write(&mut w, self.abandoned.read().iter().copied());
+        self.shed.ckpt_write(&mut w);
         ck::report_write(&mut w, "", &self.report.lock());
         let mut objects: Vec<(ObjId, Arc<ObjEntry>)> = Vec::new();
         for shard in &self.objects {
@@ -376,8 +333,7 @@ impl crate::Checkpoint for Rd2 {
         }
         objects.sort_by_key(|(obj, _)| obj.0);
         for (obj, entry) in objects {
-            ck::object_header(&mut w, obj, &entry.spec);
-            entry.state.lock().ckpt_write(&mut w);
+            crate::shadow::object_write(&mut w, obj, &entry.spec, &entry.state.lock());
         }
         w.finish()
     }
@@ -387,43 +343,9 @@ impl crate::Checkpoint for Rd2 {
         text: &str,
         resolve: &crate::SpecResolver<'_>,
     ) -> Result<(), crace_vclock::CkptError> {
-        use crate::checkpoint as ck;
-        use crace_vclock::ckpt::{vc_parse, CkptError};
+        use crace_vclock::ckpt::vc_parse;
         let mut r = crace_vclock::CkptReader::new(text, self.checkpoint_kind())?;
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-        if head.tag() != "meta" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `meta`, found `{}`", head.tag()),
-            ));
-        }
-        let mode = ck::mode_parse(head.word(1)?, head.line)?;
-        let provenance_window =
-            match head.word(2)? {
-                "-" => None,
-                p => Some(p.parse::<usize>().map_err(|_| {
-                    CkptError::at(head.line, format!("bad provenance window `{p}`"))
-                })?),
-            };
-        if mode != self.mode {
-            return Err(ck::config_mismatch(
-                head.line,
-                "clock mode",
-                mode,
-                self.mode,
-            ));
-        }
-        if provenance_window != self.provenance_window {
-            return Err(ck::config_mismatch(
-                head.line,
-                "provenance window",
-                provenance_window,
-                self.provenance_window,
-            ));
-        }
-        self.shed.store(head.num(3)?, Ordering::Relaxed);
+        let shed: u64 = self.cfg.meta_read(&mut r)?.num(3)?;
         while let Some(rec) = r.peek() {
             match rec.tag() {
                 "thread" => {
@@ -440,32 +362,15 @@ impl crate::Checkpoint for Rd2 {
             }
             r.next_rec();
         }
-        let abandoned: HashSet<ThreadId> = ck::abandoned_read(&mut r)?.into_iter().collect();
-        self.has_abandoned
-            .store(!abandoned.is_empty(), Ordering::Relaxed);
-        *self.abandoned.write() = abandoned;
-        *self.report.lock() = ck::report_read(&mut r, "")?;
+        self.shed.ckpt_read(&mut r, shed)?;
+        *self.report.lock() = crate::checkpoint::report_read(&mut r, "")?;
         for shard in &self.objects {
             shard.write().clear();
         }
-        while let Some(rec) = r.next_rec() {
-            if rec.tag() != "object" {
-                return Err(CkptError::at(
-                    rec.line,
-                    format!("expected `object`, found `{}`", rec.tag()),
-                ));
-            }
-            let (obj, spec) = ck::object_parse(rec, resolve)?;
-            let state = crate::engine::ObjState::ckpt_read(&mut r)?;
-            self.shard(obj).write().insert(
-                obj,
-                Arc::new(ObjEntry {
-                    spec,
-                    state: Mutex::new(state),
-                }),
-            );
-        }
-        Ok(())
+        crate::shadow::objects_read(&mut r, resolve, |obj, spec, state| {
+            self.install(obj, spec, state);
+        })?;
+        r.expect_end()
     }
 }
 

@@ -67,15 +67,7 @@ pub struct CkptMeta {
 /// A spanned [`CkptError`] on any damage or a missing `meta` record.
 pub fn peek_checkpoint_meta(text: &str) -> Result<CkptMeta, CkptError> {
     let mut r = CkptReader::new(text, SESSION_CKPT_KIND)?;
-    let rec = r
-        .next_rec()
-        .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-    if rec.tag() != "meta" {
-        return Err(CkptError::at(
-            rec.line,
-            format!("expected `meta` record, found `{}`", rec.tag()),
-        ));
-    }
+    let rec = r.expect("meta")?;
     let spec_name = rec.text(1)?;
     let workers = rec.num(2)?;
     let seq = rec.num(3)?;
@@ -127,148 +119,50 @@ impl Default for SessionConfig {
     }
 }
 
-/// The detector behind a session: the serial reference or the sharded
-/// pipeline, behind one face.
-enum DetectorCore {
-    Serial(TraceDetector),
-    Parallel(ParallelRd2),
-}
-
-impl DetectorCore {
-    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        match self {
-            DetectorCore::Serial(d) => d.register(obj, spec),
-            DetectorCore::Parallel(d) => d.register(obj, spec),
-        }
-    }
-
-    fn feed(&self, registry: &Registry) {
-        match self {
-            DetectorCore::Serial(d) => {
-                let stats = d.clock_stats();
-                registry.counter("rd2.conflict_probes").add(
-                    d.num_probes()
-                        .saturating_sub(registry.counter("rd2.conflict_probes").get()),
-                );
-                registry
-                    .gauge("rd2.clock.epoch_hit_rate")
-                    .set(stats.epoch_hit_rate());
-            }
-            DetectorCore::Parallel(d) => d.feed(registry),
-        }
-    }
-
-    fn degraded(&self) -> bool {
-        match self {
-            DetectorCore::Serial(_) => false,
-            DetectorCore::Parallel(d) => d.degraded(),
-        }
-    }
-
+/// The detector behind a session — the serial [`TraceDetector`] or the
+/// sharded [`ParallelRd2`] — called through one face.
+trait Detector: Analysis + Checkpoint + Send + Sync {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>);
+    /// Exports the detector's internals into the session registry.
+    fn feed(&self, registry: &Registry);
+    fn degraded(&self) -> bool;
+    /// Workers the supervisor rebuilt after panics.
     fn respawns(&self) -> u64 {
-        match self {
-            DetectorCore::Serial(_) => 0,
-            DetectorCore::Parallel(d) => d.stats().workers.iter().map(|w| w.respawns).sum(),
-        }
+        0
     }
 }
 
-impl Checkpoint for DetectorCore {
-    fn checkpoint_kind(&self) -> &'static str {
-        match self {
-            DetectorCore::Serial(d) => d.checkpoint_kind(),
-            DetectorCore::Parallel(d) => d.checkpoint_kind(),
-        }
+impl Detector for TraceDetector {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
+        TraceDetector::register(self, obj, spec);
     }
-
-    fn checkpoint(&self) -> String {
-        match self {
-            DetectorCore::Serial(d) => d.checkpoint(),
-            DetectorCore::Parallel(d) => d.checkpoint(),
-        }
+    fn feed(&self, registry: &Registry) {
+        TraceDetector::feed(self, registry);
     }
-
-    fn restore(&self, text: &str, resolve: &SpecResolver<'_>) -> Result<(), CkptError> {
-        match self {
-            DetectorCore::Serial(d) => d.restore(text, resolve),
-            DetectorCore::Parallel(d) => d.restore(text, resolve),
-        }
+    fn degraded(&self) -> bool {
+        TraceDetector::degraded(self)
     }
 }
 
-impl Analysis for DetectorCore {
-    fn name(&self) -> &str {
-        "rd2"
+impl Detector for ParallelRd2 {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
+        ParallelRd2::register(self, obj, spec);
     }
-
-    fn on_fork(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_fork(parent, child),
-            DetectorCore::Parallel(d) => d.on_fork(parent, child),
-        }
+    fn feed(&self, registry: &Registry) {
+        ParallelRd2::feed(self, registry);
     }
-
-    fn on_join(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_join(parent, child),
-            DetectorCore::Parallel(d) => d.on_join(parent, child),
-        }
+    fn degraded(&self) -> bool {
+        ParallelRd2::degraded(self)
     }
-
-    fn on_acquire(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_acquire(tid, lock),
-            DetectorCore::Parallel(d) => d.on_acquire(tid, lock),
-        }
-    }
-
-    fn on_release(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_release(tid, lock),
-            DetectorCore::Parallel(d) => d.on_release(tid, lock),
-        }
-    }
-
-    fn on_action(&self, tid: crace_model::ThreadId, action: &crace_model::Action) {
-        match self {
-            DetectorCore::Serial(d) => d.on_action(tid, action),
-            DetectorCore::Parallel(d) => d.on_action(tid, action),
-        }
-    }
-
-    fn on_read(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_read(tid, loc),
-            DetectorCore::Parallel(d) => d.on_read(tid, loc),
-        }
-    }
-
-    fn on_write(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_write(tid, loc),
-            DetectorCore::Parallel(d) => d.on_write(tid, loc),
-        }
-    }
-
-    fn abandon_thread(&self, tid: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.abandon_thread(tid),
-            DetectorCore::Parallel(d) => d.abandon_thread(tid),
-        }
-    }
-
-    fn report(&self) -> RaceReport {
-        match self {
-            DetectorCore::Serial(d) => d.report(),
-            DetectorCore::Parallel(d) => d.report(),
-        }
+    fn respawns(&self) -> u64 {
+        self.stats().workers.iter().map(|w| w.respawns).sum()
     }
 }
 
 /// The analysis a session's dispatcher drives: lazy object registration
 /// in front of the detector core.
 struct SessionAnalysis {
-    core: DetectorCore,
+    core: Box<dyn Detector>,
     compiled: Arc<CompiledSpec>,
     registered: Mutex<BTreeSet<ObjId>>,
     delivered: AtomicU64,
@@ -288,7 +182,7 @@ impl SessionAnalysis {
 
 impl Analysis for SessionAnalysis {
     fn name(&self) -> &str {
-        self.core.name()
+        "rd2"
     }
 
     fn on_fork(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
@@ -421,16 +315,16 @@ impl Session {
         cfg: SessionConfig,
     ) -> std::io::Result<Arc<Session>> {
         let tracer = cfg.traced.then(|| Arc::new(Tracer::new()));
-        let core = if cfg.workers > 0 {
+        let core: Box<dyn Detector> = if cfg.workers > 0 {
             let pcfg = ParallelConfig {
                 tracer: tracer.clone(),
                 ..ParallelConfig::default()
             };
-            DetectorCore::Parallel(ParallelRd2::with_config(cfg.workers, pcfg))
+            Box::new(ParallelRd2::with_config(cfg.workers, pcfg))
         } else if let Some(t) = &tracer {
-            DetectorCore::Serial(TraceDetector::with_tracer(t, DISPATCH_SPAN_EVERY))
+            Box::new(TraceDetector::with_tracer(t, DISPATCH_SPAN_EVERY))
         } else {
-            DetectorCore::Serial(TraceDetector::new())
+            Box::new(TraceDetector::new())
         };
         let injector = Arc::new(FaultInjector::new(cfg.faults.unwrap_or_default()));
         let faulted = FaultedAnalysis::new(
@@ -678,13 +572,7 @@ impl Session {
     /// session registry (idempotent where the sources are).
     pub fn feed_metrics(&self) {
         let r = &*self.registry;
-        let set_counter = |name: &str, now: u64| {
-            let c = r.counter(name);
-            let cur = c.get();
-            if now > cur {
-                c.add(now - cur);
-            }
-        };
+        let set_counter = |name: &str, now: u64| r.counter(name).advance_to(now);
         set_counter(
             "ingress.events",
             self.restored_seq.load(Ordering::Relaxed) + self.ring.pushed() + self.ring.shed(),
@@ -736,11 +624,9 @@ impl Session {
             || self.analysis.inner().inner().core.degraded()
             || damage.is_some();
         self.feed_metrics();
-        self.registry.counter("races.total").add(
-            report
-                .total()
-                .saturating_sub(self.registry.counter("races.total").get()),
-        );
+        self.registry
+            .counter("races.total")
+            .advance_to(report.total());
         if let Some(d) = &damage {
             self.registry.counter("stream.lost_bytes").add(d.lost_bytes);
             self.registry

@@ -36,15 +36,15 @@
 mod djit;
 pub use djit::DjitVar;
 
+use crace_core::ShedFilter;
 use crace_model::{
     Action, Analysis, LocId, LockId, Provenance, RaceKind, RaceRecord, RaceReport, ThreadId,
 };
 use crace_vclock::{Epoch, SyncClocks, VectorClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The read component of a location's shadow state: an epoch in the common
 /// totally-ordered case, or a full vector clock once reads are concurrent.
@@ -216,11 +216,7 @@ pub struct FastTrack {
     provenance: bool,
     /// Threads abandoned via [`Analysis::abandon_thread`]: retired clocks,
     /// later events naming them shed.
-    abandoned: RwLock<HashSet<ThreadId>>,
-    /// Fast-path guard: true iff `abandoned` is non-empty.
-    has_abandoned: AtomicBool,
-    /// Events shed because they named an abandoned thread.
-    shed: AtomicU64,
+    shed: ShedFilter,
 }
 
 impl FastTrack {
@@ -231,9 +227,7 @@ impl FastTrack {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             report: Mutex::new(RaceReport::new()),
             provenance: false,
-            abandoned: RwLock::new(HashSet::new()),
-            has_abandoned: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
+            shed: ShedFilter::new(),
         }
     }
 
@@ -253,24 +247,9 @@ impl FastTrack {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
-    /// True iff an event naming any of `tids` must be shed because that
-    /// thread was abandoned. One relaxed load in the fault-free case.
-    fn sheds(&self, tids: &[ThreadId]) -> bool {
-        if !self.has_abandoned.load(Ordering::Relaxed) {
-            return false;
-        }
-        let abandoned = self.abandoned.read();
-        if tids.iter().any(|t| abandoned.contains(t)) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Number of events shed because they named an abandoned thread.
     pub fn events_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.events_shed()
     }
 
     fn clock_of(&self, tid: ThreadId) -> VectorClock {
@@ -348,14 +327,10 @@ impl crace_core::Checkpoint for FastTrack {
         w.rec(&format!(
             "meta {} {}",
             u8::from(self.provenance),
-            self.shed.load(Ordering::Relaxed)
+            self.shed.events_shed()
         ));
         ck::sync_write(&mut w, &self.sync.read());
-        let mut abandoned: Vec<u32> = self.abandoned.read().iter().map(|t| t.0).collect();
-        abandoned.sort_unstable();
-        let mut words = vec!["abandoned".to_string(), abandoned.len().to_string()];
-        words.extend(abandoned.iter().map(u32::to_string));
-        w.rec(&words.join(" "));
+        self.shed.ckpt_write(&mut w);
         ck::report_write(&mut w, "", &self.report.lock());
         let mut vars: Vec<(LocId, VarState)> = Vec::new();
         for shard in &self.shards {
@@ -400,15 +375,7 @@ impl crace_core::Checkpoint for FastTrack {
             Ok(Epoch::new(ThreadId(tid), clock))
         }
         let mut r = crace_vclock::CkptReader::new(text, self.checkpoint_kind())?;
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-        if head.tag() != "meta" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `meta`, found `{}`", head.tag()),
-            ));
-        }
+        let head = r.expect("meta")?;
         let provenance = match head.word(1)? {
             "0" => false,
             "1" => true,
@@ -420,45 +387,22 @@ impl crace_core::Checkpoint for FastTrack {
             }
         };
         if provenance != self.provenance {
-            return Err(CkptError::at(
+            return Err(ck::config_mismatch(
                 head.line,
-                format!(
-                    "checkpoint provenance mode ({provenance:?}) does not match this detector's \
-                     ({:?}) — restore into a detector with the same configuration",
-                    self.provenance
-                ),
+                "provenance mode",
+                provenance,
+                self.provenance,
             ));
         }
-        self.shed.store(head.num(2)?, Ordering::Relaxed);
+        let shed: u64 = head.num(2)?;
         *self.sync.write() = ck::sync_read(&mut r)?;
-        let rec = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint ends where `abandoned` was expected"))?;
-        if rec.tag() != "abandoned" {
-            return Err(CkptError::at(
-                rec.line,
-                format!("expected `abandoned`, found `{}`", rec.tag()),
-            ));
-        }
-        let n: usize = rec.num(1)?;
-        let mut abandoned = HashSet::with_capacity(n);
-        for i in 0..n {
-            abandoned.insert(ThreadId(rec.num(2 + i)?));
-        }
-        self.has_abandoned
-            .store(!abandoned.is_empty(), Ordering::Relaxed);
-        *self.abandoned.write() = abandoned;
+        self.shed.ckpt_read(&mut r, shed)?;
         *self.report.lock() = ck::report_read(&mut r, "")?;
         for shard in &self.shards {
             shard.lock().clear();
         }
-        while let Some(rec) = r.next_rec() {
-            if rec.tag() != "var" {
-                return Err(CkptError::at(
-                    rec.line,
-                    format!("expected `var`, found `{}`", rec.tag()),
-                ));
-            }
+        while r.peek().is_some() {
+            let rec = r.expect("var")?;
             let loc = LocId(rec.num(1)?);
             let write = epoch_parse(rec.word(2)?, rec.line)?;
             let read = match rec.word(3)? {
@@ -483,7 +427,7 @@ impl Analysis for FastTrack {
     }
 
     fn on_fork(&self, parent: ThreadId, child: ThreadId) {
-        if self.sheds(&[parent, child]) {
+        if self.shed.sheds(&[parent, child]) {
             return;
         }
         self.sync.write().fork(parent, child);
@@ -492,21 +436,21 @@ impl Analysis for FastTrack {
     fn on_join(&self, parent: ThreadId, child: ThreadId) {
         // Joining an abandoned child is shed: its clock was retired, so
         // the join would fold a lazily reinitialized fresh clock.
-        if self.sheds(&[parent, child]) {
+        if self.shed.sheds(&[parent, child]) {
             return;
         }
         self.sync.write().join(parent, child);
     }
 
     fn on_acquire(&self, tid: ThreadId, lock: LockId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.sync.write().acquire(tid, lock);
     }
 
     fn on_release(&self, tid: ThreadId, lock: LockId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.sync.write().release(tid, lock);
@@ -518,14 +462,14 @@ impl Analysis for FastTrack {
     fn on_action(&self, _tid: ThreadId, _action: &Action) {}
 
     fn on_read(&self, tid: ThreadId, loc: LocId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.access(tid, loc, false);
     }
 
     fn on_write(&self, tid: ThreadId, loc: LocId) {
-        if self.sheds(&[tid]) {
+        if self.shed.sheds(&[tid]) {
             return;
         }
         self.access(tid, loc, true);
@@ -535,8 +479,7 @@ impl Analysis for FastTrack {
     /// later events naming it. No happens-before edges are introduced and
     /// the report over the delivered prefix is untouched.
     fn abandon_thread(&self, tid: ThreadId) {
-        self.abandoned.write().insert(tid);
-        self.has_abandoned.store(true, Ordering::Relaxed);
+        self.shed.abandon(tid);
         self.sync.write().retire(tid);
     }
 

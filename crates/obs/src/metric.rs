@@ -72,6 +72,16 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
+
+    /// Raises the counter to `now` when it is below: how a monotone total
+    /// kept elsewhere is exported, so feeding it repeatedly never counts
+    /// anything twice.
+    pub fn advance_to(&self, now: u64) {
+        let cur = self.get();
+        if now > cur {
+            self.add(now - cur);
+        }
+    }
 }
 
 /// An instantaneous value: last write wins.

@@ -220,7 +220,7 @@ impl CkptWriter {
 
 /// One validated checkpoint record: its 1-based line number and its
 /// whitespace-split payload words.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CkptRecord<'a> {
     /// 1-based line number of the record, for diagnostics.
     pub line: usize,
@@ -383,6 +383,39 @@ impl<'a> CkptReader<'a> {
     /// Peeks at the next record without consuming it.
     pub fn peek(&self) -> Option<&CkptRecord<'a>> {
         self.records.get(self.next)
+    }
+
+    /// Consumes the next record, which must carry `tag`.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError`] when the records end or the next one has another tag.
+    pub fn expect(&mut self, tag: &str) -> Result<&CkptRecord<'a>, CkptError> {
+        let rec = self.next_rec().ok_or_else(|| {
+            CkptError::at(0, format!("checkpoint ends where `{tag}` was expected"))
+        })?;
+        if rec.tag() != tag {
+            return Err(CkptError::at(
+                rec.line,
+                format!("expected `{tag}`, found `{}`", rec.tag()),
+            ));
+        }
+        Ok(rec)
+    }
+
+    /// Fails unless every record has been consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError`] naming the first unconsumed record.
+    pub fn expect_end(&self) -> Result<(), CkptError> {
+        match self.peek() {
+            Some(rec) => Err(CkptError::at(
+                rec.line,
+                format!("unexpected trailing record `{}`", rec.tag()),
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Number of records not yet consumed.

@@ -544,10 +544,12 @@ fn run_observed(
         "rd2" => {
             let d = if explain {
                 TraceDetector::with_provenance(EXPLAIN_WINDOW)
-            } else if let Some(t) = tracer {
-                TraceDetector::with_tracer(t, TRACE_SAMPLE_EVERY)
             } else {
                 TraceDetector::new()
+            };
+            let d = match tracer {
+                Some(t) => d.traced(t, TRACE_SAMPLE_EVERY),
+                None => d,
             };
             let compiled =
                 Arc::new(translate(spec).map_err(|e| render_translate_error(&e, spec, source))?);

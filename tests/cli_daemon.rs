@@ -5,6 +5,7 @@
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
@@ -24,10 +25,14 @@ impl Daemon {
     /// Spawns `crace serve --tcp 127.0.0.1:0` with extra args, waits for
     /// the addr file, returns the handle.
     fn spawn(extra: &[&str]) -> Daemon {
+        // Tests run in parallel within one process, so each daemon needs
+        // its own directory: a shared one would let one test's drop
+        // delete another daemon's addr file.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "craced-test-{}-{}",
             std::process::id(),
-            extra.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

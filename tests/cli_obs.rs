@@ -188,3 +188,29 @@ fn fasttrack_detector_also_reports_through_the_observer() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout(&out).contains("fasttrack.events.fork"));
 }
+
+/// `--explain` and `--trace-out` compose on the serial path: provenance
+/// collection must not switch the detector's span recording off.
+#[test]
+fn explain_keeps_the_serial_detector_spans() {
+    let dir = std::env::temp_dir().join(format!("crace-explain-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spans = |explain: bool, file: &str| -> usize {
+        let path = dir.join(file);
+        let fixture = data("fig3.trace");
+        let mut args = vec!["replay", &fixture, "--spec", "dictionary"];
+        args.extend(["--trace-out", path.to_str().unwrap()]);
+        if explain {
+            args.push("--explain");
+        }
+        let out = crace(&args);
+        assert_eq!(out.status.code(), Some(3), "{out:?}");
+        let trace = std::fs::read_to_string(&path).expect("span trace written");
+        trace.matches("\"ph\": \"X\"").count()
+    };
+    let plain = spans(false, "plain.json");
+    let explained = spans(true, "explain.json");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(plain > 0, "no detector spans without --explain");
+    assert_eq!(explained, plain, "--explain changed the span count");
+}
